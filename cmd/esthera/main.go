@@ -22,12 +22,12 @@ func main() {
 	var (
 		modelName  = flag.String("model", "arm", "model: arm, ungm, bearings, volatility")
 		joints     = flag.Int("joints", 5, "arm joints (state dim = joints + 4)")
-		filterName = flag.String("filter", "parallel", "filter: parallel, sequential, centralized, gaussian, ekf, ukf")
+		filterName = flag.String("filter", "parallel", "filter: parallel, centralized, gaussian, ekf, ukf")
 		subFilters = flag.Int("subfilters", 120, "sub-filter count N")
 		mPer       = flag.Int("m", 128, "particles per sub-filter")
 		scheme     = flag.String("scheme", "ring", "exchange scheme: ring, torus, all-to-all, hypercube, none")
 		tCount     = flag.Int("t", 1, "particles exchanged per neighbor")
-		resampler  = flag.String("resampler", "rws", "resampler: rws, vose (sequential also: systematic, stratified, multinomial, residual)")
+		resampler  = flag.String("resampler", "rws", "resampler: rws, vose, systematic, metropolis")
 		policy     = flag.String("policy", "always", "resampling policy: always, ess, random, never")
 		estimator  = flag.String("estimator", "max-weight", "estimate operator: max-weight, weighted-mean")
 		particles  = flag.Int("particles", 4096, "total particles (centralized/gaussian)")
@@ -106,9 +106,6 @@ func makeFilter(name string, m esthera.Model, cfg esthera.Config, particles int,
 	switch name {
 	case "parallel":
 		f, err := esthera.NewFilter(m, cfg)
-		return f, cfg.SubFilters * cfg.ParticlesPerSubFilter, err
-	case "sequential":
-		f, err := esthera.NewSequentialFilter(m, cfg)
 		return f, cfg.SubFilters * cfg.ParticlesPerSubFilter, err
 	case "centralized":
 		f, err := esthera.NewCentralizedFilter(m, particles, seed)

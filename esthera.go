@@ -61,13 +61,11 @@ type Config struct {
 	Seed uint64
 	// Workers sizes the host device (0 = GOMAXPROCS).
 	Workers int
-	// AdaptEvery enables the ESS-driven adaptive allocator in the
-	// parallel filter: every AdaptEvery rounds the per-sub-filter
-	// particle windows are re-divided toward the degenerating
-	// sub-filters (gain and clamps default per filter.AdaptConfig).
-	// 0, the default, keeps fixed uniform windows. Only NewFilter
-	// honors it; the sequential and centralized builders reject
-	// non-zero values.
+	// AdaptEvery enables the ESS-driven adaptive allocator: every
+	// AdaptEvery rounds the per-sub-filter particle windows are
+	// re-divided toward the degenerating sub-filters (gain and clamps
+	// default per filter.AdaptConfig). 0, the default, keeps fixed
+	// uniform windows.
 	AdaptEvery int
 }
 
@@ -150,40 +148,6 @@ func NewFilter(m Model, cfg Config) (Filter, error) {
 		Streams:       cfg.Streams,
 		Estimator:     est,
 		Adapt:         filter.AdaptConfig{Every: cfg.AdaptEvery},
-	}, cfg.Seed)
-}
-
-// NewSequentialFilter builds the sequential reference implementation of
-// the same distributed algorithm (useful for validation and platforms
-// where goroutine parallelism is undesirable).
-func NewSequentialFilter(m Model, cfg Config) (Filter, error) {
-	if cfg.AdaptEvery != 0 {
-		return nil, fmt.Errorf("esthera: AdaptEvery requires the parallel filter (NewFilter)")
-	}
-	scheme, err := exchange.SchemeByName(orDefault(cfg.ExchangeScheme, "ring"))
-	if err != nil {
-		return nil, err
-	}
-	rs, err := resample.ByName(orDefault(cfg.Resampler, "rws"))
-	if err != nil {
-		return nil, err
-	}
-	policy, err := resample.PolicyByName(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	est, err := filter.EstimatorByName(cfg.Estimator)
-	if err != nil {
-		return nil, err
-	}
-	return filter.NewDistributed(m, filter.DistributedConfig{
-		SubFilters:    cfg.SubFilters,
-		ParticlesPer:  cfg.ParticlesPerSubFilter,
-		Scheme:        scheme,
-		ExchangeCount: cfg.ExchangeCount,
-		Resampler:     rs,
-		Policy:        policy,
-		Estimator:     est,
 	}, cfg.Seed)
 }
 

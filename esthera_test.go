@@ -50,14 +50,14 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestSequentialAndCentralizedConstructors(t *testing.T) {
+func TestFilterAndCentralizedConstructors(t *testing.T) {
 	m, sc, err := esthera.NewArmScenario(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := esthera.DefaultConfig()
 	cfg.SubFilters, cfg.ParticlesPerSubFilter = 8, 16
-	seqf, err := esthera.NewSequentialFilter(m, cfg)
+	dist, err := esthera.NewFilter(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSequentialAndCentralizedConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []esthera.Filter{seqf, cent} {
+	for _, f := range []esthera.Filter{dist, cent} {
 		errs, err := esthera.Track(f, sc, 20, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +120,7 @@ func TestConfigValidation(t *testing.T) {
 		{SubFilters: 8, ParticlesPerSubFilter: 16, Resampler: "bogus"},
 		{SubFilters: 8, ParticlesPerSubFilter: 16, Policy: "bogus"},
 		{SubFilters: 0, ParticlesPerSubFilter: 16},
+		{SubFilters: 4, ParticlesPerSubFilter: 16, ExchangeCount: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := esthera.NewFilter(m, cfg); err == nil {
@@ -129,20 +130,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := esthera.Track(nil, nil, 0, 0); err == nil {
 		t.Error("Track with 0 steps must error")
 	}
-	// Both implementations accept the full resampler set.
 	cfg := esthera.Config{SubFilters: 4, ParticlesPerSubFilter: 16, Resampler: "systematic", ExchangeScheme: "none"}
-	if _, err := esthera.NewSequentialFilter(m, cfg); err != nil {
-		t.Errorf("sequential systematic: %v", err)
-	}
 	if _, err := esthera.NewFilter(m, cfg); err != nil {
 		t.Errorf("parallel systematic: %v", err)
 	}
-	// Adaptive allocation is a parallel-filter feature; the sequential
-	// builder must say so rather than silently ignore it.
 	cfg.AdaptEvery = 4
-	if _, err := esthera.NewSequentialFilter(m, cfg); err == nil {
-		t.Error("sequential filter accepted AdaptEvery")
-	}
 	if _, err := esthera.NewFilter(m, cfg); err != nil {
 		t.Errorf("parallel adaptive: %v", err)
 	}
@@ -302,13 +294,13 @@ func TestPolicyNames(t *testing.T) {
 	m, _, _ := esthera.NewArmScenario(3)
 	for _, policy := range []string{"always", "never", "ess", "random"} {
 		cfg := esthera.Config{SubFilters: 4, ParticlesPerSubFilter: 8, Policy: policy, ExchangeScheme: "none"}
-		if _, err := esthera.NewSequentialFilter(m, cfg); err != nil {
+		if _, err := esthera.NewFilter(m, cfg); err != nil {
 			t.Errorf("policy %q rejected: %v", policy, err)
 		}
 	}
-	if _, err := esthera.NewSequentialFilter(m, esthera.Config{
+	if _, err := esthera.NewFilter(m, esthera.Config{
 		SubFilters: 4, ParticlesPerSubFilter: 8, ExchangeScheme: "none", Estimator: "bogus",
 	}); err == nil {
-		t.Error("bogus estimator accepted by sequential filter")
+		t.Error("bogus estimator accepted")
 	}
 }

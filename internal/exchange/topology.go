@@ -30,14 +30,6 @@ const (
 	Ring
 	Torus2D
 	Hypercube
-	// RandomPairs matches sub-filters into fresh random pairs every
-	// round (gossip-style; one of the "various exchange schemes [that]
-	// can be envisioned", §III-A). Degree 1, so the per-round
-	// communication is the lowest of the pairwise schemes, but over time
-	// every pair of sub-filters eventually communicates directly.
-	// Supported by the sequential distributed filter; the device pipeline
-	// uses static topologies.
-	RandomPairs
 )
 
 // String returns the scheme name.
@@ -53,8 +45,6 @@ func (s Scheme) String() string {
 		return "torus"
 	case Hypercube:
 		return "hypercube"
-	case RandomPairs:
-		return "random-pairs"
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
@@ -72,8 +62,6 @@ func SchemeByName(name string) (Scheme, error) {
 		return Torus2D, nil
 	case "hypercube", "cube":
 		return Hypercube, nil
-	case "random-pairs", "random", "gossip":
-		return RandomPairs, nil
 	}
 	return None, fmt.Errorf("exchange: unknown scheme %q", name)
 }
@@ -120,9 +108,8 @@ func (t *Topology) Neighbors(dst []int, i int) []int {
 		panic(fmt.Sprintf("exchange: sub-filter %d out of range [0,%d)", i, t.n))
 	}
 	switch t.scheme {
-	case None, AllToAll, RandomPairs:
-		// All-to-All uses the shared pool; RandomPairs derives fresh
-		// pairings per round via Pairing.
+	case None, AllToAll:
+		// All-to-All uses the shared pool.
 		return dst
 	case Ring:
 		if t.n == 1 {
@@ -166,11 +153,6 @@ func (t *Topology) MaxDegree() int {
 	switch t.scheme {
 	case None, AllToAll:
 		return 0
-	case RandomPairs:
-		if t.n > 1 {
-			return 1
-		}
-		return 0
 	case Ring:
 		if t.n <= 2 {
 			return t.n - 1
@@ -202,7 +184,7 @@ func (t *Topology) MaxDegree() int {
 // degraded-mode rerouting (see RouteLive): a receiver that cannot pull
 // from its immediate neighbor in a direction keeps walking that
 // direction until it finds a live sender. Schemes without a directional
-// structure (None, AllToAll, RandomPairs, Hypercube) report 0, as does a
+// structure (None, AllToAll, Hypercube) report 0, as does a
 // single-sub-filter network.
 func (t *Topology) Directions() int {
 	if t.n <= 1 {
@@ -266,42 +248,6 @@ func (t *Topology) RouteLive(i, dir int, live func(int) bool) int {
 		}
 	}
 	return -1
-}
-
-// Pairing returns the RandomPairs matching for one round: partner[i] is
-// the sub-filter i exchanges with, or i itself when unmatched (odd n
-// leaves one out per round). The matching is a deterministic function of
-// (seed, round), symmetric (partner[partner[i]] == i), and changes every
-// round.
-func Pairing(n int, seed uint64, round int) []int {
-	partner := make([]int, n)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	// Seeded Fisher-Yates via SplitMix-style mixing, then pair adjacent
-	// entries of the permutation.
-	state := seed ^ (uint64(round)+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	for i := range partner {
-		partner[i] = i
-	}
-	for i := 0; i+1 < n; i += 2 {
-		a, b := perm[i], perm[i+1]
-		partner[a] = b
-		partner[b] = a
-	}
-	return partner
 }
 
 // squarestFactors returns (rows, cols) with rows*cols == n and rows the

@@ -186,7 +186,7 @@ func TestDirections(t *testing.T) {
 	}{
 		{Ring, 8, 2}, {Ring, 2, 2}, {Ring, 1, 0},
 		{Torus2D, 16, 4}, {Torus2D, 2, 4},
-		{None, 8, 0}, {AllToAll, 8, 0}, {Hypercube, 8, 0}, {RandomPairs, 8, 0},
+		{None, 8, 0}, {AllToAll, 8, 0}, {Hypercube, 8, 0},
 	}
 	for _, c := range cases {
 		top, err := NewTopology(c.scheme, c.n)
@@ -276,65 +276,12 @@ func TestWalkOutOfRangePanics(t *testing.T) {
 	top.Walk(0, 2)
 }
 
-func TestPairingIsSymmetricMatching(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 17, 64} {
-		for round := 0; round < 5; round++ {
-			p := Pairing(n, 42, round)
-			if len(p) != n {
-				t.Fatalf("n=%d: pairing length %d", n, len(p))
-			}
-			unmatched := 0
-			for i, j := range p {
-				if j < 0 || j >= n {
-					t.Fatalf("n=%d: partner out of range", n)
-				}
-				if p[j] != i {
-					t.Fatalf("n=%d round=%d: asymmetric pairing %d<->%d", n, round, i, j)
-				}
-				if j == i {
-					unmatched++
-				}
-			}
-			if want := n % 2; unmatched != want {
-				t.Fatalf("n=%d: %d unmatched, want %d", n, unmatched, want)
-			}
-		}
-	}
-}
-
-func TestPairingDeterministicAndVaries(t *testing.T) {
-	a := Pairing(16, 7, 3)
-	b := Pairing(16, 7, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pairing not deterministic")
-		}
-	}
-	c := Pairing(16, 7, 4)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("pairing identical across rounds")
-	}
-}
-
+// TestRandomPairsScheme pins that the per-round gossip pairing is not a
+// scheme: every exchange topology is static, so its names are unknown.
 func TestRandomPairsScheme(t *testing.T) {
-	s, err := SchemeByName("gossip")
-	if err != nil || s != RandomPairs {
-		t.Fatalf("gossip alias: %v %v", s, err)
-	}
-	top, err := NewTopology(RandomPairs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := top.Neighbors(nil, 3); len(got) != 0 {
-		t.Fatal("random-pairs must have no static neighbors")
-	}
-	if top.MaxDegree() != 1 {
-		t.Fatalf("random-pairs degree %d, want 1", top.MaxDegree())
+	for _, name := range []string{"random-pairs", "random", "gossip"} {
+		if s, err := SchemeByName(name); err == nil {
+			t.Errorf("SchemeByName(%q) = %v, want unknown-scheme error", name, s)
+		}
 	}
 }

@@ -84,7 +84,10 @@ func VariantsAblation(o AccuracyOptions) (*Table, error) {
 			}, seed)
 		}},
 		{"ldpf (t=0)", func(m model.Model, seed uint64) (filter.Filter, error) {
-			return filter.NewLDPF(m, n, mp, seed)
+			dev := device.New(device.Config{Workers: o.Workers, LocalMemBytes: -1})
+			return filter.NewParallel(dev, m, filter.ParallelConfig{
+				SubFilters: n, ParticlesPer: mp, ExchangeCount: 0,
+			}, seed)
 		}},
 		{"gdpf (global resample)", func(m model.Model, seed uint64) (filter.Filter, error) {
 			return filter.NewGDPF(m, n, mp, seed)
@@ -224,14 +227,15 @@ func EstimatorAblation(o AccuracyOptions) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Title:  "§IV ablation — global estimate operator (sequential distributed 32×32)",
+		Title:  "§IV ablation — global estimate operator (distributed 32×32)",
 		Header: []string{"estimator", "mean error [m]"},
 		Notes:  []string{fmt.Sprintf("%d runs × %d steps", o.Runs, o.Steps)},
 	}
 	for _, est := range []filter.Estimator{filter.MaxWeight, filter.WeightedMean} {
 		e := est
 		v, err := meanError(o, sc, func(seed uint64) (filter.Filter, error) {
-			return filter.NewDistributed(m, filter.DistributedConfig{
+			dev := device.New(device.Config{Workers: o.Workers, LocalMemBytes: -1})
+			return filter.NewParallel(dev, m, filter.ParallelConfig{
 				SubFilters: 32, ParticlesPer: 32,
 				Scheme: exchange.Ring, ExchangeCount: 1,
 				Estimator: e,

@@ -45,14 +45,6 @@ func BenchmarkCentralizedStep4096(b *testing.B) {
 	})
 }
 
-func BenchmarkDistributedStep4096(b *testing.B) {
-	benchFilter(b, func(m model.Model) (filter.Filter, error) {
-		return filter.NewDistributed(m, filter.DistributedConfig{
-			SubFilters: 32, ParticlesPer: 128, Scheme: exchange.Ring, ExchangeCount: 1,
-		}, 1)
-	})
-}
-
 func BenchmarkParallelStep4096(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		w := workers

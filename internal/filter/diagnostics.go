@@ -30,16 +30,6 @@ func UniqueParticleFraction(particles []float64, dim int) float64 {
 	return float64(len(seen)) / float64(n)
 }
 
-// Particles exposes the current particle population of the sequential
-// distributed filter (N·m × dim) for diagnostics.
-func (d *Distributed) Particles() []float64 { return d.particles }
-
-// Diversity returns the unique-particle fraction of the current
-// population.
-func (d *Distributed) Diversity() float64 {
-	return UniqueParticleFraction(d.particles, d.dim)
-}
-
 // Diversity returns the unique-particle fraction of the parallel filter's
 // current population.
 func (f *Parallel) Diversity() float64 {

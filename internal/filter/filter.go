@@ -2,12 +2,10 @@
 //
 //   - Centralized: the sequential reference particle filter (Algorithm 1;
 //     the paper's centralized C implementation, §VI).
-//   - Distributed: the sequential reference of the paper's contribution —
-//     a network of small sub-filters with local resampling and neighbor
-//     particle exchange (Algorithm 2, §IV).
-//   - Parallel: the many-core implementation of the same algorithm on the
-//     device substrate, one work-group per sub-filter, with the six
-//     kernels of §VI (see internal/kernels).
+//   - Parallel: the paper's contribution — a network of small sub-filters
+//     with local resampling and neighbor particle exchange (Algorithm 2,
+//     §IV) — on the device substrate, one work-group per sub-filter, with
+//     the six kernels of §VI (see internal/kernels).
 //   - Gaussian: the Gaussian particle filter of the related-work
 //     comparisons (§III-B), which needs no resampling.
 //   - GDPF / CDPF / RPA: the alternative distributed designs the paper

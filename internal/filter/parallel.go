@@ -11,10 +11,11 @@ import (
 )
 
 // Parallel is the many-core distributed particle filter — the paper's
-// contribution — running on the device substrate with one work-group per
-// sub-filter and the six kernels of §VI (see internal/kernels). Its
-// algorithm is the same as Distributed; the two are cross-validated by
-// tests.
+// contribution (Algorithm 2) — running on the device substrate with one
+// work-group per sub-filter and the six kernels of §VI (see
+// internal/kernels). It is the toolkit's only implementation of the
+// algorithm: the public API, serving, sharding and every experiment run
+// it.
 type Parallel struct {
 	p    *kernels.Pipeline
 	dim  int
@@ -26,7 +27,8 @@ type Parallel struct {
 	essScratch []float64
 }
 
-// ParallelConfig maps DistributedConfig onto the kernel pipeline.
+// ParallelConfig collects the distributed-filter parameters of Table I
+// plus the algorithmic choices of §IV, mapped onto the kernel pipeline.
 type ParallelConfig struct {
 	// SubFilters (N), ParticlesPer (m), Scheme (X), ExchangeCount (t):
 	// the Table I parameters.
@@ -145,20 +147,12 @@ func (f *Parallel) RestoreSnapshot(s *ParallelSnapshot) error {
 	return nil
 }
 
-// StepBatch steps every filter in fs through one round with its own
-// (u, z) inputs, coalescing the per-sub-filter kernels of all filters
-// into shared launches on dev. Every filter must have been built on dev.
-// Results are returned in input order. Long-lived callers (the serve
-// scheduler) should hold a BatchStepper instead: this convenience
-// wrapper rebuilds the batch scratch on every call.
-func StepBatch(dev *device.Device, fs []*Parallel, us, zs [][]float64) ([]Estimate, error) {
-	return NewBatchStepper(dev).StepBatch(fs, us, zs)
-}
-
-// BatchStepper carries the reusable scratch of the batched stepping
-// path: the kernels.Batcher (merged-launch tables and closures) and the
-// BatchRound entries with their estimate buffers. Steady-state batches
-// allocate only the returned estimates. Not safe for concurrent use.
+// BatchStepper steps many filters built on one device through a round
+// each, coalescing their per-sub-filter kernels into shared launches. It
+// carries the reusable scratch of the batched stepping path: the
+// kernels.Batcher (merged-launch tables and closures) and the BatchRound
+// entries with their estimate buffers. Steady-state batches allocate
+// only the returned estimates. Not safe for concurrent use.
 type BatchStepper struct {
 	batcher *kernels.Batcher
 	entries []kernels.BatchRound
@@ -170,8 +164,10 @@ func NewBatchStepper(dev *device.Device) *BatchStepper {
 	return &BatchStepper{batcher: kernels.NewBatcher(dev)}
 }
 
-// StepBatch implements the package-level StepBatch contract with the
-// stepper's reusable scratch.
+// StepBatch steps every filter in fs through one round with its own
+// (u, z) inputs. Every filter must have been built on the stepper's
+// device. Results are returned in input order; a rejected batch leaves
+// every filter unstepped.
 func (bs *BatchStepper) StepBatch(fs []*Parallel, us, zs [][]float64) ([]Estimate, error) {
 	if len(fs) != len(us) || len(fs) != len(zs) {
 		return nil, fmt.Errorf("filter: batch length mismatch: %d filters, %d controls, %d measurements",

@@ -3,7 +3,6 @@ package filter
 import (
 	"fmt"
 
-	"esthera/internal/exchange"
 	"esthera/internal/model"
 	"esthera/internal/resample"
 	"esthera/internal/rng"
@@ -16,37 +15,15 @@ import (
 //   - GDPF (Bashi et al.): sampling and weighting are partitioned over
 //     sub-filters, but resampling is performed centrally over the whole
 //     population.
-//   - LDPF: local resampling with no communication — exactly our
-//     Distributed with t = 0 (constructor alias below).
+//   - LDPF: local resampling with no communication — exactly Parallel
+//     with t = 0.
 //   - CDPF: central resampling over a small compressed representative
 //     set (the best c per sub-filter), redistributed to all sub-filters.
 //   - RNA (Bolić et al.): local resampling followed by a particle
-//     exchange step — structurally our Distributed with a ring exchange
-//     (constructor alias below).
+//     exchange step — structurally Parallel with a ring exchange.
 //   - RPA (Bolić et al.): two-stage resampling with proportional
 //     allocation — sub-filters are allotted survivor counts proportional
 //     to their total weight, then resample locally and redistribute.
-
-// NewLDPF returns the Local Distributed PF: local resampling, no
-// exchange.
-func NewLDPF(m model.Model, subFilters, particlesPer int, seed uint64) (*Distributed, error) {
-	return NewDistributed(m, DistributedConfig{
-		SubFilters:   subFilters,
-		ParticlesPer: particlesPer,
-		Scheme:       exchange.None,
-	}, seed)
-}
-
-// NewRNA returns the Resampling-with-Non-proportional-Allocation design:
-// local resampling plus a ring particle exchange.
-func NewRNA(m model.Model, subFilters, particlesPer, t int, seed uint64) (*Distributed, error) {
-	return NewDistributed(m, DistributedConfig{
-		SubFilters:    subFilters,
-		ParticlesPer:  particlesPer,
-		Scheme:        exchange.Ring,
-		ExchangeCount: t,
-	}, seed)
-}
 
 // GDPF is the Global Distributed PF: partitioned sampling/weighting with
 // centralized resampling over the full population every round.

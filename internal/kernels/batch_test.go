@@ -49,7 +49,7 @@ func TestRoundBatchMatchesSequential(t *testing.T) {
 		for i := range batch {
 			batch[i] = &kernels.BatchRound{P: bat[i], U: u, Z: z, K: k}
 		}
-		if err := kernels.RoundBatch(dev, batch); err != nil {
+		if err := kernels.NewBatcher(dev).Round(batch); err != nil {
 			t.Fatal(err)
 		}
 		for i := range seq {
@@ -88,7 +88,7 @@ func TestRoundBatchMixedGroupSizes(t *testing.T) {
 			{P: a, U: u, Z: z, K: k},
 			{P: b, U: u, Z: z, K: k},
 		}
-		if err := kernels.RoundBatch(dev, batch); err != nil {
+		if err := kernels.NewBatcher(dev).Round(batch); err != nil {
 			t.Fatal(err)
 		}
 		state, lw := ref.Round(u, z, k)
@@ -107,7 +107,7 @@ func TestRoundBatchRejectsDuplicates(t *testing.T) {
 		{P: p, Z: []float64{0}, K: 1},
 		{P: p, Z: []float64{0}, K: 2},
 	}
-	if err := kernels.RoundBatch(dev, batch); err == nil {
+	if err := kernels.NewBatcher(dev).Round(batch); err == nil {
 		t.Fatal("duplicate pipeline accepted")
 	}
 }

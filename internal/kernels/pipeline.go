@@ -268,6 +268,9 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 		return nil, fmt.Errorf("kernels: invalid grid %d sub-filters × %d particles",
 			cfg.SubFilters, cfg.ParticlesPer)
 	}
+	if cfg.ExchangeCount < 0 {
+		return nil, fmt.Errorf("kernels: negative exchange count %d", cfg.ExchangeCount)
+	}
 	if cfg.Topology == nil {
 		top, err := exchange.NewTopology(exchange.None, cfg.SubFilters)
 		if err != nil {
@@ -278,9 +281,6 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 	if cfg.Topology.Size() != cfg.SubFilters {
 		return nil, fmt.Errorf("kernels: topology size %d != sub-filters %d",
 			cfg.Topology.Size(), cfg.SubFilters)
-	}
-	if cfg.Topology.Scheme() == exchange.RandomPairs && cfg.ExchangeCount > 0 {
-		return nil, fmt.Errorf("kernels: random-pairs exchange is dynamic per round and not supported by the device pipeline; use the sequential distributed filter")
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = resample.Always{}

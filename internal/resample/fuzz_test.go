@@ -69,7 +69,7 @@ func FuzzResamplers(f *testing.F) {
 		}
 		dst := make([]int, int(draws))
 		r := rng.New(rng.NewPhilox(uint64(len(raw))*1000 + uint64(draws)))
-		for _, rs := range []Resampler{RWS{}, Vose{}, Systematic{}, Stratified{}, Multinomial{}, Residual{}} {
+		for _, rs := range []Resampler{RWS{}, Vose{}, Systematic{}} {
 			rs.Resample(dst, ws, r)
 			for _, idx := range dst {
 				if idx < 0 || idx >= len(ws) {

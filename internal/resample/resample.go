@@ -12,17 +12,16 @@
 //     the cost of a table construction that parallelizes poorly at
 //     sub-filter sizes.
 //
-// This package provides sequential implementations of both plus the other
-// standard schemes (multinomial, systematic, stratified, residual), the
-// collective-free Metropolis resampler of Murray et al. (arXiv:1202.6163)
-// as baselines and ablations, the effective-sample-size metric, and the
+// This package provides sequential implementations of both plus
+// systematic resampling and the collective-free Metropolis resampler of
+// Murray et al. (arXiv:1202.6163) as baselines and ablations, the
+// effective-sample-size metric, and the
 // "when to resample" policies discussed in §IV (always, ESS threshold,
 // random frequency). The barrier-phased device versions live in
 // internal/kernels.
 package resample
 
 import (
-	"fmt"
 	"math"
 
 	"esthera/internal/rng"
@@ -128,36 +127,6 @@ func searchCDF(cdf []float64, u float64) int {
 	return lo
 }
 
-// Multinomial draws each sample by linear search; the textbook baseline,
-// O(n) per draw. Only sensible for tests and tiny filters.
-type Multinomial struct{}
-
-// Name implements Resampler.
-func (Multinomial) Name() string { return "multinomial" }
-
-// Resample implements Resampler.
-func (Multinomial) Resample(dst []int, weights []float64, r *rng.Rand) {
-	checkArgs(dst, weights)
-	total := scan.Sum(weights)
-	if !(total > 0) {
-		uniformFill(dst, len(weights), r)
-		return
-	}
-	for i := range dst {
-		u := r.Float64() * total
-		acc := 0.0
-		idx := len(weights) - 1
-		for j, w := range weights {
-			acc += w
-			if acc > u {
-				idx = j
-				break
-			}
-		}
-		dst[i] = idx
-	}
-}
-
 // Systematic is systematic (universal stratified) resampling: a single
 // uniform offset and n equally spaced pointers swept over the CDF. O(n)
 // total, minimal variance, the most common choice in modern practice;
@@ -190,93 +159,10 @@ func (Systematic) Resample(dst []int, weights []float64, r *rng.Rand) {
 	}
 }
 
-// Stratified resampling: one uniform per stratum of the CDF.
-type Stratified struct{}
-
-// Name implements Resampler.
-func (Stratified) Name() string { return "stratified" }
-
-// Resample implements Resampler.
-func (Stratified) Resample(dst []int, weights []float64, r *rng.Rand) {
-	checkArgs(dst, weights)
-	total := scan.Sum(weights)
-	if !(total > 0) {
-		uniformFill(dst, len(weights), r)
-		return
-	}
-	n := len(dst)
-	step := total / float64(n)
-	acc := weights[0]
-	j := 0
-	for i := 0; i < n; i++ {
-		u := (float64(i) + r.Float64()) * step
-		for acc <= u && j < len(weights)-1 {
-			j++
-			acc += weights[j]
-		}
-		dst[i] = j
-	}
-}
-
-// Residual resampling: deterministic copies of ⌊n·wᵢ⌋ per particle, then
-// the remainder multinomially. Lower variance than multinomial at the
-// same O(n) cost.
-type Residual struct{}
-
-// Name implements Resampler.
-func (Residual) Name() string { return "residual" }
-
-// Resample implements Resampler.
-func (Residual) Resample(dst []int, weights []float64, r *rng.Rand) {
-	checkArgs(dst, weights)
-	total := scan.Sum(weights)
-	if !(total > 0) {
-		uniformFill(dst, len(weights), r)
-		return
-	}
-	n := len(dst)
-	k := 0
-	residual := make([]float64, len(weights))
-	for i, w := range weights {
-		exp := float64(n) * w / total
-		copies := int(exp)
-		for c := 0; c < copies && k < n; c++ {
-			dst[k] = i
-			k++
-		}
-		residual[i] = exp - float64(copies)
-	}
-	if k < n {
-		Multinomial{}.Resample(dst[k:], residual, r)
-	}
-}
-
 // uniformFill fills dst with uniform draws over [0,n), the degenerate-
 // weights fallback.
 func uniformFill(dst []int, n int, r *rng.Rand) {
 	for i := range dst {
 		dst[i] = r.Intn(n)
 	}
-}
-
-// ByName returns the named resampler ("rws", "vose", "metropolis",
-// "systematic", "stratified", "multinomial", "residual").
-func ByName(name string) (Resampler, error) {
-	switch name {
-	case "rws":
-		return RWS{}, nil
-	case "vose":
-		return Vose{}, nil
-	case "metropolis":
-		return Metropolis{}, nil
-	case "systematic":
-		return Systematic{}, nil
-	case "stratified":
-		return Stratified{}, nil
-	case "multinomial":
-		return Multinomial{}, nil
-	case "residual":
-		return Residual{}, nil
-	}
-	return nil, fmt.Errorf("resample: unknown resampler %q", name)
 }

@@ -8,7 +8,7 @@ import (
 	"esthera/internal/rng"
 )
 
-var allResamplers = []Resampler{RWS{}, Vose{}, Multinomial{}, Systematic{}, Stratified{}, Residual{}}
+var allResamplers = []Resampler{RWS{}, Vose{}, Systematic{}}
 
 // checkProportions verifies that resampling n draws from a fixed weight
 // vector reproduces the weight proportions within sampling error.
@@ -125,23 +125,6 @@ func TestSystematicLowVariance(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("systematic with uniform weights: counts[%d] = %d, want 1", i, c)
 		}
-	}
-}
-
-func TestResidualDeterministicCopies(t *testing.T) {
-	// Particle 0 has weight 0.5 of 4 particles → at least 2 guaranteed copies.
-	weights := []float64{0.5, 0.2, 0.2, 0.1}
-	r := rng.New(rng.NewPhilox(13))
-	dst := make([]int, 4)
-	Residual{}.Resample(dst, weights, r)
-	c0 := 0
-	for _, idx := range dst {
-		if idx == 0 {
-			c0++
-		}
-	}
-	if c0 < 2 {
-		t.Fatalf("residual gave %d copies of the 0.5-weight particle, want >= 2", c0)
 	}
 }
 
@@ -284,21 +267,6 @@ func TestQuickAliasReconstruction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"rws", "vose", "metropolis", "systematic", "stratified", "multinomial", "residual"} {
-		rs, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if rs.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, rs.Name())
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName(bogus) must error")
 	}
 }
 

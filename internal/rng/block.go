@@ -17,12 +17,6 @@ const inv53 = 1.0 / (1 << 53)
 //
 //esthera:hotpath noalloc bce
 func (r *Rand) FillNormals(dst []float64) {
-	if r.useZiggurat {
-		for i := range dst {
-			dst[i] = r.ziggurat()
-		}
-		return
-	}
 	i := 0
 	if r.haveSpare && i < len(dst) {
 		dst[i] = r.spare

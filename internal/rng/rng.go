@@ -15,12 +15,10 @@
 //   - Philox4x32-10, a counter-based generator in the Random123 family;
 //     the modern alternative for many-core architectures (no shared state,
 //     arbitrary jump-ahead).
-//   - xoshiro256++, a small fast generator used where statistical
-//     requirements are modest (e.g. resampling coin flips).
 //   - SplitMix64, used exclusively for seeding and stream derivation.
 //
-// Normal deviates are produced by Box-Muller (as in the paper, which added
-// a Box-Muller transformation to its MTGP port) or by a Ziggurat sampler.
+// Normal deviates are produced by Box-Muller, as in the paper, which added
+// a Box-Muller transformation to its MTGP port.
 package rng
 
 import (
@@ -70,11 +68,6 @@ type Rand struct {
 	haveSpare bool
 	spare     float64
 
-	// When true, NormFloat64 uses the Ziggurat sampler instead of
-	// Box-Muller. Box-Muller is the default because it is what the paper
-	// used on top of MTGP.
-	useZiggurat bool
-
 	// Reusable scratch for the block-draw API (Normals/Uniforms); not
 	// part of the serialized state.
 	normScratch []float64
@@ -83,13 +76,6 @@ type Rand struct {
 
 // Source returns the underlying raw stream.
 func (r *Rand) Source() Source { return r.src }
-
-// UseZiggurat selects the Ziggurat normal sampler (true) or Box-Muller
-// (false, the default).
-func (r *Rand) UseZiggurat(on bool) {
-	r.useZiggurat = on
-	r.haveSpare = false
-}
 
 // Seed re-seeds the underlying source and clears cached state.
 func (r *Rand) Seed(seed uint64) {
@@ -128,9 +114,6 @@ func (r *Rand) Intn(n int) int {
 
 // NormFloat64 returns a standard normal deviate (mean 0, stddev 1).
 func (r *Rand) NormFloat64() float64 {
-	if r.useZiggurat {
-		return r.ziggurat()
-	}
 	if r.haveSpare {
 		r.haveSpare = false
 		return r.spare

@@ -68,57 +68,8 @@ func TestBoxMullerMoments(t *testing.T) {
 	checkMoments(t, r.NormFloat64, 400000)
 }
 
-func TestZigguratMoments(t *testing.T) {
-	r := New(NewPhilox(99))
-	r.UseZiggurat(true)
-	checkMoments(t, r.NormFloat64, 400000)
-}
-
-// TestZigguratTailMass checks that the sampler produces values beyond the
-// ziggurat edge R with approximately the right frequency, exercising the
-// tail algorithm.
-func TestZigguratTailMass(t *testing.T) {
-	r := New(NewXoshiro(123))
-	r.UseZiggurat(true)
-	n := 2_000_000
-	tail := 0
-	for i := 0; i < n; i++ {
-		if math.Abs(r.NormFloat64()) > zigR {
-			tail++
-		}
-	}
-	// P(|Z| > 3.4426...) ≈ 5.76e-4.
-	want := 2 * 0.5 * math.Erfc(zigR/math.Sqrt2) * float64(n)
-	got := float64(tail)
-	if got < want*0.7 || got > want*1.4 {
-		t.Fatalf("tail mass %v, want ≈ %v", got, want)
-	}
-}
-
-// TestZigguratTables sanity-checks the construction: edges strictly
-// decreasing, densities strictly increasing, layer areas ≈ V.
-func TestZigguratTables(t *testing.T) {
-	for i := 1; i < zigLayers; i++ {
-		if !(zigX[i+1] < zigX[i]) {
-			t.Fatalf("edges not strictly decreasing at %d: %v >= %v", i, zigX[i+1], zigX[i])
-		}
-		if !(zigF[i+1] > zigF[i]) {
-			t.Fatalf("densities not strictly increasing at %d", i)
-		}
-	}
-	if zigX[zigLayers] != 0 || math.Abs(zigF[zigLayers]-1) > 1e-9 {
-		t.Fatalf("top layer must end at (0, 1); got (%v, %v)", zigX[zigLayers], zigF[zigLayers])
-	}
-	for i := 1; i < zigLayers; i++ {
-		area := zigX[i] * (zigF[i+1] - zigF[i])
-		if math.Abs(area-zigV) > 1e-6 {
-			t.Fatalf("layer %d area %v, want %v", i, area, zigV)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
-	r := New(NewXoshiro(5))
+	r := New(NewMT19937(5))
 	for i := 0; i < 100000; i++ {
 		if v := r.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("Float64 out of [0,1): %v", v)
@@ -180,7 +131,7 @@ func TestExpFloat64Mean(t *testing.T) {
 }
 
 func TestBoxMullerPolarAcceptance(t *testing.T) {
-	r := New(NewXoshiro(9))
+	r := New(NewMT19937(9))
 	accepted, total := 0, 100000
 	var sum, sum2 float64
 	cnt := 0

@@ -114,6 +114,16 @@ func TestStateKindMismatch(t *testing.T) {
 	if err := r.RestoreState(p.SaveState()); err == nil {
 		t.Fatal("rand accepted philox state")
 	}
+	// Word 3 of the 4-word "rand" state is reserved: always saved as 0,
+	// and a nonzero value is rejected.
+	saved := New(NewPhilox(1)).SaveState()
+	if len(saved.Words) != 4 || saved.Words[3] != 0 {
+		t.Fatalf("rand state words %v, want 4 with word 3 = 0", saved.Words)
+	}
+	saved.Words[3] = 1
+	if err := New(NewPhilox(1)).RestoreState(saved); err == nil {
+		t.Fatal("rand accepted a nonzero reserved word")
+	}
 	b := NewBuffer(8, NewPhilox(1))
 	big := NewBuffer(16, NewPhilox(1))
 	if err := b.RestoreState(big.SaveState()); err == nil {

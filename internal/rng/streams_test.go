@@ -5,35 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestXoshiroReproducibility(t *testing.T) {
-	a, b := NewXoshiro(99), NewXoshiro(99)
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("xoshiro sequences diverge at %d", i)
-		}
-	}
-}
-
-func TestXoshiroUniformity(t *testing.T) {
-	checkUniformBits(t, NewXoshiro(31337), 200000)
-}
-
-func TestXoshiroJumpDisjoint(t *testing.T) {
-	// After a jump the stream must not overlap the original prefix.
-	a := NewXoshiro(5)
-	prefix := make(map[uint64]bool, 4096)
-	for i := 0; i < 4096; i++ {
-		prefix[a.Uint64()] = true
-	}
-	b := NewXoshiro(5)
-	b.Jump()
-	for i := 0; i < 4096; i++ {
-		if prefix[b.Uint64()] {
-			t.Fatalf("jumped stream revisits prefix value at %d", i)
-		}
-	}
-}
-
 func TestSplitMixReproducibility(t *testing.T) {
 	a, b := NewSplitMix64(0), NewSplitMix64(0)
 	for i := 0; i < 100; i++ {

@@ -13,7 +13,7 @@
 //     load sheds at the edge, latency stays bounded.
 //   - Cross-session batching: a scheduler goroutine coalesces queued
 //     steps from different sessions into shared kernel launches
-//     (kernels.RoundBatch), so B sessions of N sub-filters each drive the
+//     (kernels.Batcher), so B sessions of N sub-filters each drive the
 //     device with B·N-group grids instead of B separate small launches.
 //     Batching is a pure scheduling optimization: estimates are
 //     bit-identical to unbatched stepping.

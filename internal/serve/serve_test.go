@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -119,11 +121,19 @@ func TestCreateValidation(t *testing.T) {
 		{Model: "ungm", Streams: "bogus"},
 		{Model: "ungm", Estimator: "bogus"},
 		{Model: "ungm", SubFilters: 4, ParticlesPer: 2, ExchangeCount: 3},
+		{Model: "ungm", ExchangeCount: -1},
 	}
 	for i, sp := range bad {
 		if _, err := s.Create(sp); err == nil {
 			t.Errorf("spec %d accepted: %+v", i, sp)
 		}
+	}
+	// Over HTTP the same specs are client errors, never a crash.
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	body := map[string]any{"spec": map[string]any{"model": "ungm", "exchange_count": -1}}
+	if code := postJSON(t, ts.URL+"/v1/sessions", body, nil); code != http.StatusBadRequest {
+		t.Errorf("negative exchange_count: status %d, want 400", code)
 	}
 	if got := len(s.Sessions()); got != 0 {
 		t.Fatalf("%d sessions leaked from failed creates", got)

@@ -455,9 +455,9 @@ func bitonic(ctx device.Ctx, keys []float64, idx []int) {
 }
 
 // ArgsortDescending returns the permutation that sorts keys descending,
-// leaving keys untouched. It is the sequential reference used by the
-// centralized filter and by tests validating the bitonic network. The
-// sort is stable, so equal keys keep their original relative order.
+// leaving keys untouched. It is the sequential reference TopK's tests
+// compare against. The sort is stable, so equal keys keep their original
+// relative order.
 func ArgsortDescending(keys []float64) []int {
 	idx := make([]int, len(keys))
 	for i := range idx {

@@ -20,6 +20,11 @@ go run ./cmd/esthera-vet -list
 # under draworder), and serve (lockorder).
 go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/telemetry/log,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
 go test ./...
+# The benchmark harness is its own module (perfbench/, replaced onto this
+# tree), so the root ./... neither builds nor tests it: check it
+# explicitly so an API change cannot silently break the benchmark.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 go test -race ./...
 # The vectorized lane kernels and the branchless sort/search paths are
 # sensitive to codegen: re-run the numeric core once more under
