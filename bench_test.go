@@ -496,8 +496,9 @@ func byteSize(n int) string {
 // throughput at increasing tenancy: the same total number of observation
 // steps pushed through 1, 8 and 64 concurrent sessions on one shared
 // device. Rising aggregate Hz with session count is the cross-session
-// batching at work (more pending steps per scheduling round → larger
-// merged grids → better device utilization).
+// batching at work: the scheduler takes whatever is queued when the
+// device frees up, so more concurrent sessions mean more steps per
+// scheduling round → larger merged grids → better device utilization.
 func BenchmarkServeSessions(b *testing.B) {
 	for _, sessions := range []int{1, 8, 64} {
 		b.Run("sessions="+strconv.Itoa(sessions), func(b *testing.B) {

@@ -64,7 +64,6 @@ func main() {
 		sessions = flag.Int("sessions", 0, "max concurrent sessions (0 = 256)")
 		queue    = flag.Int("queue", 0, "admission queue depth (0 = 128)")
 		batch    = flag.Int("batch", 0, "max steps coalesced per launch (0 = 32)")
-		window   = flag.Duration("window", 0, "batching window (0 = 200µs)")
 		retry    = flag.Duration("retry", 0, "retry-after hint before batch latency is measured (0 = 5ms)")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight steps on shutdown")
 		trace    = flag.Bool("trace", false, "start with span recording enabled (toggle at runtime via POST /trace)")
@@ -96,7 +95,6 @@ func main() {
 		MaxSessions:  *sessions,
 		QueueDepth:   *queue,
 		MaxBatch:     *batch,
-		BatchWindow:  *window,
 		RetryAfter:   *retry,
 		Trace:        *trace,
 		HealthStride: *stride,

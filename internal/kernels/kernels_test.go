@@ -46,6 +46,22 @@ func TestValidation(t *testing.T) {
 	if _, err := New(dev, m, Config{SubFilters: 4, ParticlesPer: 4, ExchangeCount: -1}, 1); err == nil {
 		t.Fatal("negative exchange count must error")
 	}
+	// Grids whose particle arrays overflow int, or exceed what any
+	// []float64 can hold, are errors rather than makeslice panics.
+	for _, g := range [][2]int{{1 << 30, 1 << 30}, {math.MaxInt, 2}, {2, math.MaxInt}, {1 << 40, 1 << 10}} {
+		if _, err := New(dev, m, Config{SubFilters: g[0], ParticlesPer: g[1]}, 1); err == nil {
+			t.Fatalf("%d×%d grid must error", g[0], g[1])
+		}
+	}
+	// The state dimension counts too: 2^44 particles fit with UNGM's one
+	// state dim (plus a log-weight), not with the arm's nine.
+	am, _, err := arm.NewScenario(arm.Config{}, arm.DefaultLemniscate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(dev, am, Config{SubFilters: 1 << 22, ParticlesPer: 1 << 22}, 1); err == nil {
+		t.Fatal("2^22×2^22 arm grid must error")
+	}
 }
 
 func TestKernelNamesMatchPaperBreakdown(t *testing.T) {

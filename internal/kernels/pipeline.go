@@ -262,6 +262,11 @@ type Pipeline struct {
 	essAtResample []float64
 }
 
+// maxFloats bounds the length of any []float64 the runtime can back: a
+// length is an int, and the Go heap addresses at most 2^48 bytes on
+// 64-bit platforms.
+const maxFloats = min(math.MaxInt, 1<<48) / 8
+
 // New validates cfg and allocates the pipeline on dev.
 func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipeline, error) {
 	if cfg.SubFilters <= 0 || cfg.ParticlesPer <= 0 {
@@ -296,6 +301,12 @@ func New(dev *device.Device, mdl model.Model, cfg Config, seed uint64) (*Pipelin
 	if cfg.ExchangeCount > cfg.ParticlesPer {
 		return nil, fmt.Errorf("kernels: exchange count %d > sub-filter size %d",
 			cfg.ExchangeCount, cfg.ParticlesPer)
+	}
+	// The widest buffers hold dim+1 floats per particle (the outbox's
+	// state plus log-weight records); dividing first cannot overflow.
+	if cfg.ParticlesPer > maxFloats/cfg.SubFilters/(mdl.StateDim()+1) {
+		return nil, fmt.Errorf("kernels: grid %d sub-filters × %d particles × %d state dims is too large to allocate",
+			cfg.SubFilters, cfg.ParticlesPer, mdl.StateDim())
 	}
 	p := &Pipeline{dev: dev, mdl: mdl, cfg: cfg, dim: mdl.StateDim()}
 	N, m := cfg.SubFilters, cfg.ParticlesPer

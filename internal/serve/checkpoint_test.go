@@ -186,6 +186,15 @@ func TestRestoreRejectsBadCheckpoints(t *testing.T) {
 	if _, err := s.Restore(&bad); err == nil {
 		t.Error("missing random-stream state accepted")
 	}
+	bad = *good
+	bad.Spec.SubFilters, bad.Spec.ParticlesPer = 1<<30, 1<<30
+	bad.SubFilters, bad.ParticlesPer = 1<<30, 1<<30 // consistent, but unallocatable
+	if _, err := s.Restore(&bad); err == nil {
+		t.Error("oversized grid accepted")
+	}
+	if got := len(s.Sessions()); got != 1 {
+		t.Errorf("%d sessions after rejected restores, want 1", got)
+	}
 
 	// The good checkpoint still restores after all the rejects.
 	if _, err := s.Restore(good); err != nil {

@@ -18,10 +18,9 @@ import (
 // step both applied and reported failed, none applied silently.
 func TestStepShutdownCloseRace(t *testing.T) {
 	s := NewServer(Config{
-		Workers:     4,
-		QueueDepth:  16,
-		MaxBatch:    8,
-		BatchWindow: 100 * time.Microsecond,
+		Workers:    4,
+		QueueDepth: 16,
+		MaxBatch:   8,
 	}, testModels())
 	defer s.Shutdown()
 
@@ -102,7 +101,7 @@ func TestCancelQueuedStepPrompt(t *testing.T) {
 			return slowModel{Model: model.NewUNGM(), delay: 2 * time.Millisecond}, nil
 		},
 	}
-	s := NewServer(Config{Workers: 2, QueueDepth: 8, MaxBatch: 1, BatchWindow: 50 * time.Microsecond}, models)
+	s := NewServer(Config{Workers: 2, QueueDepth: 8, MaxBatch: 1}, models)
 	defer s.Shutdown()
 
 	idA, err := s.Create(FilterSpec{Model: "stall", SubFilters: 4, ParticlesPer: 16, Seed: 1})

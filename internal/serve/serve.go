@@ -56,13 +56,10 @@ type Config struct {
 	// A full queue rejects new steps with ErrSaturated.
 	QueueDepth int
 	// MaxBatch bounds how many session steps one scheduling round
-	// coalesces into shared launches (0 = 32).
+	// coalesces into shared launches (0 = 32). The scheduler never waits
+	// to fill a batch: it takes the steps already queued when the device
+	// frees up, so batches grow with load and a lone step runs at once.
 	MaxBatch int
-	// BatchWindow is how long the scheduler waits after the first queued
-	// step for more steps to coalesce (0 = 200µs). Zero latency cost
-	// under load: the window only adds latency when the queue is
-	// near-empty, exactly when latency is cheapest.
-	BatchWindow time.Duration
 	// RetryAfter is the client back-off hint attached to ErrSaturated
 	// before the scheduler has measured any batch latency (0 = 5ms).
 	// Once batches have run, the hint is adaptive: the expected time to
@@ -103,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 5 * time.Millisecond

@@ -122,6 +122,7 @@ func TestCreateValidation(t *testing.T) {
 		{Model: "ungm", Estimator: "bogus"},
 		{Model: "ungm", SubFilters: 4, ParticlesPer: 2, ExchangeCount: 3},
 		{Model: "ungm", ExchangeCount: -1},
+		{Model: "ungm", SubFilters: 1 << 30, ParticlesPer: 1 << 30},
 	}
 	for i, sp := range bad {
 		if _, err := s.Create(sp); err == nil {
@@ -134,6 +135,10 @@ func TestCreateValidation(t *testing.T) {
 	body := map[string]any{"spec": map[string]any{"model": "ungm", "exchange_count": -1}}
 	if code := postJSON(t, ts.URL+"/v1/sessions", body, nil); code != http.StatusBadRequest {
 		t.Errorf("negative exchange_count: status %d, want 400", code)
+	}
+	body = map[string]any{"spec": map[string]any{"model": "ungm", "sub_filters": 1 << 30, "particles_per": 1 << 30}}
+	if code := postJSON(t, ts.URL+"/v1/sessions", body, nil); code != http.StatusBadRequest {
+		t.Errorf("oversized grid: status %d, want 400", code)
 	}
 	if got := len(s.Sessions()); got != 0 {
 		t.Fatalf("%d sessions leaked from failed creates", got)
@@ -224,11 +229,10 @@ func TestConcurrentSessionsMatchReferences(t *testing.T) {
 // session completes its steps.
 func TestSaturationBackpressure(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers:     2,
-		QueueDepth:  2,
-		MaxBatch:    2,
-		BatchWindow: 50 * time.Microsecond,
-		RetryAfter:  time.Millisecond,
+		Workers:    2,
+		QueueDepth: 2,
+		MaxBatch:   2,
+		RetryAfter: time.Millisecond,
 	})
 	const sessions = 12
 	ids := make([]string, sessions)

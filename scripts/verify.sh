@@ -38,10 +38,11 @@ if [ "$(go env GOARCH)" = "amd64" ] && grep -q avx2 /proc/cpuinfo 2>/dev/null; t
 else
 	echo "verify: skipping GOAMD64=v3 leg (not amd64 or no avx2)"
 fi
-# The serving robustness layer (cancellation, shutdown, drain) is pure
-# concurrency: hammer it repeatedly under the race detector so
-# interleaving-dependent regressions surface before merge.
-go test -race -count=3 ./internal/serve/...
+# The serving robustness layer (cancellation, shutdown, drain) and the
+# shard transport are pure concurrency: hammer them repeatedly under the
+# race detector so interleaving-dependent regressions surface before
+# merge.
+go test -race -count=3 ./internal/serve/... ./internal/shard/...
 # Adaptive-resampling accuracy gate: the sort-free Metropolis resampler
 # and the ESS-driven adaptive allocator must match the fixed-allocation
 # RWS/Vose baseline on the arm model. The 2x ratio is deliberately loose

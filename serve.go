@@ -18,7 +18,8 @@ type (
 	// Server runs concurrent estimation sessions over one shared device.
 	Server = serve.Server
 	// ServerConfig shapes a Server: queue depth, batch size, session
-	// limits.
+	// limits. Batches coalesce only the steps already queued when the
+	// device frees up; no knob delays a step to grow a batch.
 	ServerConfig = serve.Config
 	// FilterSpec describes a session's filter by registry and option
 	// names; its zero value selects a 16×64 ring filter.
