@@ -91,19 +91,27 @@ func New(cfg Config) (*Model, error) {
 	if cfg.Hs <= 0 {
 		return nil, fmt.Errorf("arm: non-positive sampling time %v", cfg.Hs)
 	}
-	fill := func(dst *float64, v float64) {
-		if *dst == 0 {
-			*dst = v
+	for _, s := range []struct {
+		name string
+		dst  *float64
+		def  float64
+	}{
+		{"SigmaThetaRate", &cfg.SigmaThetaRate, def.SigmaThetaRate},
+		{"SigmaPos", &cfg.SigmaPos, def.SigmaPos},
+		{"SigmaVel", &cfg.SigmaVel, def.SigmaVel},
+		{"SigmaThetaMeas", &cfg.SigmaThetaMeas, def.SigmaThetaMeas},
+		{"SigmaCam", &cfg.SigmaCam, def.SigmaCam},
+		{"InitSigmaTheta", &cfg.InitSigmaTheta, def.InitSigmaTheta},
+		{"InitSigmaPos", &cfg.InitSigmaPos, def.InitSigmaPos},
+		{"InitSigmaVel", &cfg.InitSigmaVel, def.InitSigmaVel},
+	} {
+		if *s.dst == 0 {
+			*s.dst = s.def
+		}
+		if !(*s.dst > 0) {
+			return nil, fmt.Errorf("arm: negative or NaN %s %v", s.name, *s.dst)
 		}
 	}
-	fill(&cfg.SigmaThetaRate, def.SigmaThetaRate)
-	fill(&cfg.SigmaPos, def.SigmaPos)
-	fill(&cfg.SigmaVel, def.SigmaVel)
-	fill(&cfg.SigmaThetaMeas, def.SigmaThetaMeas)
-	fill(&cfg.SigmaCam, def.SigmaCam)
-	fill(&cfg.InitSigmaTheta, def.InitSigmaTheta)
-	fill(&cfg.InitSigmaPos, def.InitSigmaPos)
-	fill(&cfg.InitSigmaVel, def.InitSigmaVel)
 	m := &Model{cfg: cfg}
 	links := cfg.Joints - 1
 	if links < 1 {

@@ -47,6 +47,71 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{InitMean: make([]float64, 3)}); err == nil {
 		t.Fatal("wrong InitMean length must error")
 	}
+	// A negative or NaN noise sigma would make every log-likelihood NaN.
+	for _, v := range []float64{-0.05, math.Inf(-1), math.NaN(), 0.5} {
+		for _, cfg := range []Config{
+			{SigmaThetaRate: v}, {SigmaPos: v}, {SigmaVel: v}, {SigmaThetaMeas: v},
+			{SigmaCam: v}, {InitSigmaTheta: v}, {InitSigmaPos: v}, {InitSigmaVel: v},
+		} {
+			if _, err := New(cfg); (err != nil) != !(v > 0) {
+				t.Errorf("New(%+v): err = %v", cfg, err)
+			}
+		}
+	}
+}
+
+// cameraPoseRef is CameraPose as formulated before it switched to
+// math.Sincos: separate Cos and Sin calls for the yaw, each cumulative
+// pitch, and again for the final pitch's camera axes.
+func cameraPoseRef(theta []float64, linkLen float64) (pos Vec3, xc, yc, zc Vec3) {
+	yaw := theta[0]
+	cy, sy := math.Cos(yaw), math.Sin(yaw)
+	r, z := 0.0, 0.0
+	pitch := 0.0
+	for _, t := range theta[1:] {
+		pitch += t
+		r += linkLen * math.Cos(pitch)
+		z += linkLen * math.Sin(pitch)
+	}
+	if len(theta) == 1 {
+		r = linkLen
+	}
+	pos = Vec3{r * cy, r * sy, z}
+	cp, sp := math.Cos(pitch), math.Sin(pitch)
+	xc = Vec3{cp * cy, cp * sy, sp}
+	yc = Vec3{-sp * cy, -sp * sy, cp}
+	zc = Vec3{sy, -cy, 0}
+	return pos, xc, yc, zc
+}
+
+// TestCameraPoseMatchesRef pins CameraPose bit for bit to cameraPoseRef
+// for J = 1…8, with angles uniform in ±4π and about one in a hundred near
+// 1e9, where Sin/Cos switch to Payne–Hanek argument reduction.
+func TestCameraPoseMatchesRef(t *testing.T) {
+	const vectors = 100000
+	r := rng.New(rng.NewPhilox(3))
+	for nj := 1; nj <= 8; nj++ {
+		theta := make([]float64, nj)
+		for trial := 0; trial < vectors; trial++ {
+			for i := range theta {
+				theta[i] = (r.Float64() - 0.5) * 8 * math.Pi
+				if r.Intn(100) == 0 {
+					theta[i] += 1e9
+				}
+			}
+			gp, gx, gy, gz := CameraPose(theta, 0.25)
+			wp, wx, wy, wz := cameraPoseRef(theta, 0.25)
+			got, want := [4]Vec3{gp, gx, gy, gz}, [4]Vec3{wp, wx, wy, wz}
+			for v := range got {
+				for c := range got[v] {
+					if math.Float64bits(got[v][c]) != math.Float64bits(want[v][c]) {
+						t.Fatalf("J=%d theta=%v: output %d component %d = %v, ref %v",
+							nj, theta, v, c, got[v][c], want[v][c])
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestCameraPoseOrthonormal(t *testing.T) {

@@ -31,16 +31,23 @@ func (v Vec3) Dot(o Vec3) float64 { return v[0]*o[0] + v[1]*o[1] + v[2]*o[2] }
 // linkLen. The camera frame is returned as three orthonormal world-space
 // axes: xc along the final link direction, yc the in-plane "up", zc the
 // lateral axis.
+//
+// Each angle costs one math.Sincos, whose results are bit-identical to
+// separate math.Sin and math.Cos calls for every non-NaN input; only the
+// NaN payload can differ (Sin returns a NaN input as is, Sincos returns
+// the canonical NaN).
 func CameraPose(theta []float64, linkLen float64) (pos Vec3, xc, yc, zc Vec3) {
-	yaw := theta[0]
-	cy, sy := math.Cos(yaw), math.Sin(yaw)
+	sy, cy := math.Sincos(theta[0])
 	// Accumulate the chain in the vertical plane (radial r, height z).
+	// (sp, cp) ends as the final pitch's sine and cosine, which orient
+	// the camera; it starts at pitch 0 for the single-joint stub.
 	r, z := 0.0, 0.0
-	pitch := 0.0
+	pitch, sp, cp := 0.0, 0.0, 1.0
 	for _, t := range theta[1:] {
 		pitch += t
-		r += linkLen * math.Cos(pitch)
-		z += linkLen * math.Sin(pitch)
+		sp, cp = math.Sincos(pitch)
+		r += linkLen * cp
+		z += linkLen * sp
 	}
 	if len(theta) == 1 {
 		// Degenerate single-joint arm: a stub of one link pointing
@@ -48,7 +55,6 @@ func CameraPose(theta []float64, linkLen float64) (pos Vec3, xc, yc, zc Vec3) {
 		r = linkLen
 	}
 	pos = Vec3{r * cy, r * sy, z}
-	cp, sp := math.Cos(pitch), math.Sin(pitch)
 	xc = Vec3{cp * cy, cp * sy, sp}
 	yc = Vec3{-sp * cy, -sp * sy, cp}
 	zc = Vec3{sy, -cy, 0}

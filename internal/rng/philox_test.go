@@ -5,13 +5,36 @@ import (
 	"testing/quick"
 )
 
-// TestPhiloxKnownAnswer checks the all-zero known-answer test vector from
-// the Random123 distribution.
+// TestPhiloxKnownAnswer checks the three philox4x32-10 known-answer test
+// vectors from the Random123 distribution, through Round4x32 and through
+// the two-counter round4x32x2 (each vector as either counter of the pair).
 func TestPhiloxKnownAnswer(t *testing.T) {
-	got := Round4x32([2]uint32{0, 0}, [4]uint32{0, 0, 0, 0})
-	want := [4]uint32{0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8}
-	if got != want {
-		t.Fatalf("philox4x32-10(0,0) = %08x, want %08x", got, want)
+	for _, tc := range []struct {
+		key       [2]uint32
+		ctr, want [4]uint32
+	}{
+		{[2]uint32{0, 0}, [4]uint32{0, 0, 0, 0},
+			[4]uint32{0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8}},
+		{[2]uint32{0xFFFFFFFF, 0xFFFFFFFF}, [4]uint32{0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF},
+			[4]uint32{0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD}},
+		{[2]uint32{0xA4093822, 0x299F31D0}, [4]uint32{0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344},
+			[4]uint32{0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1}},
+	} {
+		if got := Round4x32(tc.key, tc.ctr); got != tc.want {
+			t.Errorf("philox4x32-10(%08x, %08x) = %08x, want %08x", tc.key, tc.ctr, got, tc.want)
+		}
+		if tc.ctr[0] != 0xFFFFFFFF {
+			if x, _ := round4x32x2(tc.key, tc.ctr); x != tc.want {
+				t.Errorf("round4x32x2 first(%08x, %08x) = %08x, want %08x", tc.key, tc.ctr, x, tc.want)
+			}
+		}
+		if tc.ctr[0] != 0 {
+			prev := tc.ctr
+			prev[0]--
+			if _, y := round4x32x2(tc.key, prev); y != tc.want {
+				t.Errorf("round4x32x2 second(%08x, %08x) = %08x, want %08x", tc.key, prev, y, tc.want)
+			}
+		}
 	}
 }
 
@@ -105,14 +128,43 @@ func TestPhiloxCounterCarry(t *testing.T) {
 	}
 }
 
+// TestPhiloxBlockMatchesScalar pins Block to the Uint32 stream across the
+// two-counter pass, its one-counter fallback and the Uint32 tail: start
+// counters where ctr[0] carries inside or right after a pair (and the
+// full 128-bit wrap), leftover words buffered before the call, and block
+// lengths around the 8-word pass. The 8 words drawn after the block
+// check that the counter and leftover state match too.
 func TestPhiloxBlockMatchesScalar(t *testing.T) {
-	a := NewPhilox(123)
-	b := NewPhilox(123)
-	blk := make([]uint32, 1003)
-	a.Block(blk)
-	for i, v := range blk {
-		if w := b.Uint32(); v != w {
-			t.Fatalf("block/scalar mismatch at %d: %x vs %x", i, v, w)
+	starts := [][4]uint32{
+		{0, 0, 0, 0},
+		{0xFFFFFFFE, 0, 0, 0},
+		{0xFFFFFFFF, 0, 0, 0},
+		{0xFFFFFFFF, 0xFFFFFFFF, 0, 0},
+		{0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF},
+	}
+	for _, ctr := range starts {
+		for pre := 0; pre < 4; pre++ {
+			for _, n := range []int{0, 1, 7, 8, 9, 16, 1003} {
+				a := NewPhilox(123)
+				b := NewPhilox(123)
+				a.SetCounter(ctr[0], ctr[1], ctr[2], ctr[3])
+				b.SetCounter(ctr[0], ctr[1], ctr[2], ctr[3])
+				for k := 0; k < pre; k++ {
+					a.Uint32()
+					b.Uint32()
+				}
+				blk := make([]uint32, n+8)
+				a.Block(blk[:n])
+				for k := n; k < len(blk); k++ {
+					blk[k] = a.Uint32()
+				}
+				for k, v := range blk {
+					if w := b.Uint32(); v != w {
+						t.Fatalf("ctr %08x, %d drawn first, len %d: mismatch at word %d: %08x vs %08x",
+							ctr, pre, n, k, v, w)
+					}
+				}
+			}
 		}
 	}
 }

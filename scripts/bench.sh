@@ -1,5 +1,6 @@
 #!/bin/sh
-# Benchmarks the round hot path (unfused / fused / serve-batched) and
+# Benchmarks the round hot path (unfused / fused / serve-batched) and the
+# paper's Table II configuration (one step of the 120x128 arm filter), and
 # writes BENCH_<pr>.json with ns/op and particles/sec per configuration.
 # The PR number is derived from CHANGES.md: the highest `- PR n:` line
 # plus one. (The highest, not the count — not every PR records a bench,
@@ -28,7 +29,7 @@ OUT="${BENCH_OUT:-BENCH_${PR_NUM}.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench 'BenchmarkRound$|BenchmarkRoundFused$|BenchmarkRoundBatch$' \
+go test -run '^$' -bench 'BenchmarkRound$|BenchmarkRoundFused$|BenchmarkRoundBatch$|BenchmarkTableIIDefaults$' \
 	-benchtime "$BENCHTIME" -count "$COUNT" -benchmem . | tee "$RAW"
 
 # Best (min ns/op) run per benchmark, as JSON objects. allocs/op comes

@@ -12,6 +12,16 @@ go vet ./...
 # telemetry/wire packages and the //esthera:hotpath-annotated core.
 go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
 go test ./...
+# The vectorized lane kernels, the branchless sort/search paths and the
+# block RNG are sensitive to codegen: re-run the numeric core under
+# GOAMD64=v3 (AVX2-era ISA selection), as verify.sh does, so an
+# instruction-selection difference that breaks bit-identity fails the
+# merge. Only meaningful on amd64 hosts whose CPU has avx2.
+if [ "$(go env GOARCH)" = "amd64" ] && grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+	GOAMD64=v3 go test ./internal/kernels/ ./internal/filter/ ./internal/sortnet/ ./internal/rng/ ./internal/model/...
+else
+	echo "ci: skipping GOAMD64=v3 leg (not amd64 or no avx2)"
+fi
 # The benchmark harness is its own module (perfbench/, replaced onto this
 # tree), so the root ./... neither builds nor tests it: check it
 # explicitly so an API change cannot silently break the benchmark.
