@@ -134,7 +134,7 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 }
 
 // LoadDir parses and type-checks the non-test Go files of one directory
-// as the package with the given import path. Test files are go vet's
+// that this host's build would compile as the package with the given import path. Test files are go vet's
 // and the race detector's jurisdiction; the invariants the analyzers
 // enforce live in production code.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
@@ -146,6 +146,14 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Honour build constraints (GOOS/GOARCH file suffixes, //go:build
+		// lines) as the compiler does, so a package with per-architecture
+		// files type-checks as the variant this host builds.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

@@ -12,7 +12,9 @@
 package sortnet
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"esthera/internal/device"
@@ -81,92 +83,59 @@ func sortKeysFloat(keys []float64, iks []int) {
 	}
 }
 
-// SortDescending sorts keys into descending order in place using a
-// bitonic network, applying the identical permutation to idx. If idx is
-// nil it is ignored; if present, equal keys are ordered by ascending idx
-// (making the network stable with respect to the index array, and keeping
-// padding sentinels out of the live region even when genuine -Inf keys
-// are present). Non-power-of-two lengths are handled by padding with
-// (-Inf, large-index) sentinels in a scratch buffer. NaN keys are not
-// supported.
-//
-// The network is executed as barrier-phased steps on ctx; lanes cover the
-// compare-exchange pairs in grid-stride fashion.
-func SortDescending(ctx device.Ctx, keys []float64, idx []int) {
-	n := len(keys)
-	if n <= 1 {
-		return
-	}
-	p := nextPow2(n)
-	ks := keys
-	ix := idx
-	if p != n {
-		ks = ctx.ScratchF64(p)
-		copy(ks, keys)
-		for i := n; i < p; i++ {
-			ks[i] = math.Inf(-1)
-		}
-		// Padding always carries an index array so sentinels lose ties
-		// against genuine -Inf keys (their near-MaxInt indices sort last
-		// regardless of the caller's index values).
-		const maxInt = int(^uint(0) >> 1)
-		ix = ctx.ScratchInt(p)
-		if idx != nil {
-			copy(ix, idx)
-			for i := n; i < p; i++ {
-				ix[i] = maxInt - (p - 1 - i)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				ix[i] = 0 // ties irrelevant without a caller index array
-			}
-			for i := n; i < p; i++ {
-				ix[i] = 1
-			}
-		}
-	}
-	bitonic(ctx, ks, ix)
-	if p != n {
-		copy(keys, ks[:n])
-		if idx != nil {
-			copy(idx, ix[:n])
-		}
-	}
-}
-
-// Net is a reusable execution context for the bitonic network: it
-// pre-binds the compare-exchange closure once, so repeated SortDescending
-// calls on hot kernel paths allocate nothing (the package function
-// re-creates its closure — and thus a heap cell — per call, because it
-// escapes through the device.Ctx interface).
+// Net runs the bitonic network as barrier-phased steps on a device.Ctx.
+// It pre-binds its stage closure once, so repeated SortDescending calls
+// on hot kernel paths allocate nothing (a closure built per call would
+// escape through the device.Ctx interface).
 //
 // A Net carries per-call mutable state and must not be shared between
 // concurrently executing work-groups; create one per group context (the
 // kernel pipeline keeps one per sub-filter).
 type Net struct {
-	keys      []int // integer sort-key images (see floatSortKeys)
-	idx       []int
-	laneSwaps []int
-	st        struct{ k, j int }
-	step      func(lo, hi int)
+	keys []int // integer sort-key images (see floatSortKeys)
+	idx  []int
+	// tally holds the swap counts, one slot per lane for the scalar
+	// stage and one per stage for the vector stage; the host sums it
+	// after the last barrier.
+	tally []int
+	// st holds the stage parameters: n numbers the stage, and vec
+	// selects stageAVX2 for this call's stages.
+	st struct {
+		k, j, n int
+		vec     bool
+	}
+	vector bool // stageAVX2 is allowed
+	step   func(lo, hi int)
 }
 
-// NewNet returns a Net with its compare-exchange closure bound.
+// NewNet returns a Net with its stage closure bound. It runs the AVX2
+// stage when the CPU supports it (see SortDescending) and the scalar
+// stage otherwise.
+func NewNet() *Net { return newNet(haveAVX2) }
+
+// newNet binds a Net's stage closure; vector allows the AVX2 stage and
+// must be false where haveAVX2 is.
 //
-// The closure walks the stage's pairs directly instead of scanning all p
-// lanes and skipping the upper partners: a stage's pairs are (i, i+j)
-// for every i whose j bit is clear, i.e. runs of j consecutive lanes
-// every 2j lanes. The sort direction bit (i & k) is constant within a
-// run (all of off < j's bits sit below bit log2(k)), so it hoists out of
-// the inner loop. Each compare-exchange is branchless: the swap flag is
-// materialized from integer comparisons of the key images and applied as
-// an XOR mask, so the loop body carries no data-dependent branches. The
-// compare-exchange sequence — and therefore the resulting permutation
-// and the data-dependent swap counts — is identical to the naive scan.
-func NewNet() *Net {
-	nt := &Net{}
+// The scalar stage walks the stage's pairs directly instead of
+// scanning all p lanes and skipping the upper partners: a stage's pairs
+// are (i, i+j) for every i whose j bit is clear, i.e. runs of j
+// consecutive lanes every 2j lanes. The sort direction bit (i & k) is
+// constant within a run (all of off < j's bits sit below bit log2(k)),
+// so it hoists out of the inner loop. Each compare-exchange is
+// branchless: the swap flag is materialized from integer comparisons of
+// the key images and applied as an XOR mask, so the loop body carries no
+// data-dependent branches. The compare-exchange sequence — and therefore
+// the resulting permutation and the data-dependent swap counts — is
+// identical to the naive scan, and stageAVX2 performs the same sequence
+// four lanes at a time.
+func newNet(vector bool) *Net {
+	nt := &Net{vector: vector}
 	nt.step = func(lo, hi int) {
-		keys, idx, laneSwaps := nt.keys, nt.idx, nt.laneSwaps
+		if nt.st.vec {
+			nt.tally[nt.st.n] = stageAVX2(nt.keys, nt.idx, nt.st.k, nt.st.j)
+			return
+		}
+		keys, idx, laneSwaps := nt.keys, nt.idx, nt.tally
 		k, j := nt.st.k, nt.st.j
 		p := len(keys)
 		j2 := j << 1
@@ -249,12 +218,28 @@ func NewNet() *Net {
 	return nt
 }
 
-// SortDescending is the method form of the package-level SortDescending,
-// reusing the net's bound closure. Identical results and cost accounting.
+// SortDescending sorts keys into descending order in place using a
+// bitonic network, applying the identical permutation to idx. If idx is
+// nil it is ignored; if present, it must have len(keys) elements, and
+// equal keys are ordered by ascending idx (making the network stable with
+// respect to the index array, and keeping padding sentinels out of the
+// live region even when genuine -Inf keys are present). Non-power-of-two
+// lengths are handled by padding with (-Inf, large-index) sentinels in a
+// scratch buffer. NaN keys are not supported.
+//
+// The network is executed as barrier-phased steps on ctx, one StepSpan
+// per stage. A stage runs stageAVX2 when the CPU has AVX2, an index
+// array is in play (the caller's, or the padding's) and the padded
+// length is at least 4; otherwise the scalar stage. Both compare the
+// same integer key images in the same order, so keys, idx and the
+// accounted counters are identical either way.
 //
 //esthera:hotpath noalloc bce
 func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 	n := len(keys)
+	if idx != nil && len(idx) != n {
+		panicIndexLen(n, len(idx))
+	}
 	if n <= 1 {
 		return
 	}
@@ -267,6 +252,9 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 		for i := n; i < p; i++ {
 			ks[i] = math.Inf(-1)
 		}
+		// Padding always carries an index array so sentinels lose ties
+		// against genuine -Inf keys (their near-MaxInt indices sort last
+		// regardless of the caller's index values).
 		const maxInt = int(^uint(0) >> 1)
 		ix = ctx.ScratchInt(p)
 		if idx != nil {
@@ -276,7 +264,7 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				ix[i] = 0
+				ix[i] = 0 // ties irrelevant without a caller index array
 			}
 			for i := n; i < p; i++ {
 				ix[i] = 1
@@ -292,47 +280,30 @@ func (nt *Net) SortDescending(ctx device.Ctx, keys []float64, idx []int) {
 	}
 }
 
-// bitonic mirrors the package-level bitonic on the net's bound state.
+// panicIndexLen rejects an index array whose length differs from the
+// keys': the vector stage's loads are unchecked, so a short idx would be
+// read and written out of bounds.
+//
+//go:noinline
+func panicIndexLen(keys, idx int) {
+	panic(fmt.Sprintf("sortnet: SortDescending with %d keys but an index array of length %d", keys, idx))
+}
+
+// bitonic runs the network on a power-of-two buffer (len(idx) ==
+// len(keys) when idx is non-nil), producing descending order.
+//
+// The network executes 0.5·log²p barrier-phased steps, reusing one
+// pre-bound stage closure, and the per-compare-exchange cost accounting
+// is flushed once at the end — the totals are exactly those of
+// per-exchange accounting, without an interface call per pair. Pair
+// counts are deterministic (a stage compares exactly p/2 disjoint pairs:
+// ixj > i iff bit j of i is clear) and accumulate host-side; swap counts
+// are data-dependent, so the stage closure writes them to tally slots
+// that the host sums after the last barrier — no cross-lane writes in
+// the closure.
 //
 //esthera:hotpath noalloc bce
 func (nt *Net) bitonic(ctx device.Ctx, keys []float64, idx []int) {
-	p := len(keys)
-	iks := ctx.ScratchInt(p)
-	floatSortKeys(iks, keys)
-	nt.keys, nt.idx = iks, idx
-	nt.laneSwaps = ctx.ScratchInt(p)
-	stages := 0
-	for k := 2; k <= p; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			nt.st.k, nt.st.j = k, j
-			ctx.StepSpan(nt.step)
-			stages++
-		}
-	}
-	sortKeysFloat(keys, iks)
-	pairs := stages * (p / 2)
-	swaps := 0
-	for _, c := range nt.laneSwaps {
-		swaps += c
-	}
-	ctx.Ops(12 * pairs)
-	ctx.LocalRead(24 * pairs)
-	ctx.LocalWrite(24 * swaps)
-}
-
-// bitonic runs the classic bitonic network on a power-of-two buffer,
-// producing descending order.
-//
-// The network executes 0.5·log²p barrier-phased steps; one closure
-// (mutating its captured kk/jj stage parameters) is reused across all of
-// them, and the per-compare-exchange cost accounting is flushed once at
-// the end — the totals are exactly those of per-exchange accounting,
-// without an interface call per pair. Pair counts are deterministic (a
-// stage compares exactly p/2 disjoint pairs: ixj > i iff bit j of i is
-// clear) and accumulate host-side; swap counts are data-dependent, so
-// each lane tallies its own swaps in a lane-indexed scratch slot that
-// the host sums after the barrier — no cross-lane writes in the closure.
-func bitonic(ctx device.Ctx, keys []float64, idx []int) {
 	p := len(keys)
 	// The network runs on integer images of the keys (floatSortKeys), so
 	// each compare-exchange is branchless: flag materialization plus
@@ -340,109 +311,27 @@ func bitonic(ctx device.Ctx, keys []float64, idx []int) {
 	// miss. The images are transformed back once after the last stage.
 	iks := ctx.ScratchInt(p)
 	floatSortKeys(iks, keys)
-	// Stage parameters share one struct so the reused closure costs a
-	// single heap cell, not one per captured var. Each stage runs as one
-	// StepSpan covering every lane's pair (the pairs of a stage are
-	// disjoint, so lane order is immaterial).
-	var st struct{ k, j int }
-	laneSwaps := ctx.ScratchInt(p)
-	// A stage's pairs are (i, i+j) for every i whose j bit is clear:
-	// runs of j consecutive lanes every 2j lanes. The direction bit
-	// (i & k, deciding descending vs ascending blocks of the final
-	// descending order) is constant within a run, so it hoists out of
-	// the inner loop. The compare-exchange sequence is identical to a
-	// full-lane scan that skips upper partners.
-	step := func(lo, hi int) {
-		k, j := st.k, st.j
-		j2 := j << 1
-		for base := 0; base < p; base += j2 {
-			desc := base&k == 0
-			end := base + j
-			if idx == nil {
-				if desc {
-					for i := base; i < end; i++ {
-						a, b := iks[i], iks[i+j]
-						s := 0
-						if a < b {
-							s = 1
-						}
-						x := (a ^ b) & -s
-						iks[i], iks[i+j] = a^x, b^x
-						laneSwaps[i] += s
-					}
-				} else {
-					for i := base; i < end; i++ {
-						a, b := iks[i], iks[i+j]
-						s := 0
-						if a > b {
-							s = 1
-						}
-						x := (a ^ b) & -s
-						iks[i], iks[i+j] = a^x, b^x
-						laneSwaps[i] += s
-					}
-				}
-				continue
-			}
-			if desc {
-				for i := base; i < end; i++ {
-					a, b := iks[i], iks[i+j]
-					ia, ib := idx[i], idx[i+j]
-					lt, eq, tb := 0, 0, 0
-					if a < b {
-						lt = 1
-					}
-					if a == b {
-						eq = 1
-					}
-					if ia > ib {
-						tb = 1
-					}
-					s := lt | eq&tb
-					m := -s
-					xk := (a ^ b) & m
-					xi := (ia ^ ib) & m
-					iks[i], iks[i+j] = a^xk, b^xk
-					idx[i], idx[i+j] = ia^xi, ib^xi
-					laneSwaps[i] += s
-				}
-			} else {
-				for i := base; i < end; i++ {
-					a, b := iks[i], iks[i+j]
-					ia, ib := idx[i], idx[i+j]
-					gt, eq, tb := 0, 0, 0
-					if a > b {
-						gt = 1
-					}
-					if a == b {
-						eq = 1
-					}
-					if ia < ib {
-						tb = 1
-					}
-					s := gt | eq&tb
-					m := -s
-					xk := (a ^ b) & m
-					xi := (ia ^ ib) & m
-					iks[i], iks[i+j] = a^xk, b^xk
-					idx[i], idx[i+j] = ia^xi, ib^xi
-					laneSwaps[i] += s
-				}
-			}
-		}
+	nt.keys, nt.idx = iks, idx
+	lg := bits.Len(uint(p)) - 1
+	stages := lg * (lg + 1) / 2
+	nt.st.vec = nt.vector && idx != nil && p >= 4
+	if nt.st.vec {
+		nt.tally = ctx.ScratchInt(stages)
+	} else {
+		nt.tally = ctx.ScratchInt(p)
 	}
-	stages := 0
+	nt.st.n = 0
 	for k := 2; k <= p; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
-			st.k, st.j = k, j
-			ctx.StepSpan(step)
-			stages++
+			nt.st.k, nt.st.j = k, j
+			ctx.StepSpan(nt.step)
+			nt.st.n++
 		}
 	}
 	sortKeysFloat(keys, iks)
 	pairs := stages * (p / 2)
 	swaps := 0
-	for _, c := range laneSwaps {
+	for _, c := range nt.tally {
 		swaps += c
 	}
 	// A compare-exchange costs the comparison plus the partner-index

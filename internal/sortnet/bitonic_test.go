@@ -36,7 +36,7 @@ func TestSortDescendingVariousSizes(t *testing.T) {
 		for i := range idx {
 			idx[i] = i
 		}
-		SortDescending(device.Serial{N: n + 1}, ks, idx)
+		NewNet().SortDescending(device.Serial{N: n + 1}, ks, idx)
 		if !isDescending(ks) {
 			t.Fatalf("n=%d: not descending: %v", n, ks)
 		}
@@ -61,7 +61,7 @@ func TestSortDescendingVariousSizes(t *testing.T) {
 
 func TestSortDescendingNilIndex(t *testing.T) {
 	ks := randomKeys(37, 9)
-	SortDescending(device.Serial{N: 64}, ks, nil)
+	NewNet().SortDescending(device.Serial{N: 64}, ks, nil)
 	if !isDescending(ks) {
 		t.Fatal("nil-index sort not descending")
 	}
@@ -74,7 +74,7 @@ func TestSortDescendingOnDeviceGroup(t *testing.T) {
 	want := append([]float64(nil), ks...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(want)))
 	d.Launch("bitonic", device.Grid{Groups: 1, GroupSize: n}, func(g *device.Group) {
-		SortDescending(g, ks, nil)
+		NewNet().SortDescending(g, ks, nil)
 	})
 	for i := range want {
 		if ks[i] != want[i] {
@@ -86,7 +86,7 @@ func TestSortDescendingOnDeviceGroup(t *testing.T) {
 func TestSortDescendingFewerLanes(t *testing.T) {
 	// Grid-stride correctness: 8 lanes sorting 128 elements.
 	ks := randomKeys(128, 5)
-	SortDescending(device.Serial{N: 8}, ks, nil)
+	NewNet().SortDescending(device.Serial{N: 8}, ks, nil)
 	if !isDescending(ks) {
 		t.Fatal("few-lane sort not descending")
 	}
@@ -145,6 +145,7 @@ func TestTopKWithTies(t *testing.T) {
 
 // Property: bitonic network equals the stdlib sort on arbitrary inputs.
 func TestQuickBitonicEqualsStdlib(t *testing.T) {
+	nt := NewNet()
 	f := func(raw []float64) bool {
 		ks := make([]float64, 0, len(raw))
 		for _, v := range raw {
@@ -153,7 +154,7 @@ func TestQuickBitonicEqualsStdlib(t *testing.T) {
 			}
 		}
 		got := append([]float64(nil), ks...)
-		SortDescending(device.Serial{N: len(got) + 1}, got, nil)
+		nt.SortDescending(device.Serial{N: len(got) + 1}, got, nil)
 		want := append([]float64(nil), ks...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(want)))
 		for i := range want {
@@ -165,27 +166,5 @@ func TestQuickBitonicEqualsStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkBitonic512(b *testing.B) {
-	base := randomKeys(512, 1)
-	ks := make([]float64, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(ks, base)
-		SortDescending(device.Serial{N: 512}, ks, nil)
-	}
-}
-
-func BenchmarkStdlibSort512(b *testing.B) {
-	base := randomKeys(512, 1)
-	ks := make([]float64, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(ks, base)
-		sort.Sort(sort.Reverse(sort.Float64Slice(ks)))
 	}
 }

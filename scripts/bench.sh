@@ -1,7 +1,9 @@
 #!/bin/sh
-# Benchmarks the round hot path (unfused / fused / serve-batched) and the
-# paper's Table II configuration (one step of the 120x128 arm filter), and
-# writes BENCH_<pr>.json with ns/op and particles/sec per configuration.
+# Benchmarks the round hot path (unfused / fused / serve-batched), the
+# paper's Table II configuration (one step of the 120x128 arm filter) and
+# the per-sub-filter sort (sortnet's BenchmarkNetSort: scalar and AVX2
+# stages at m = 64, 128, 512), and writes BENCH_<pr>.json with ns/op and
+# particles/sec per configuration.
 # The PR number is derived from CHANGES.md: the highest `- PR n:` line
 # plus one. (The highest, not the count — not every PR records a bench,
 # so neither the CHANGES numbering nor the BENCH_* files on disk can be
@@ -31,6 +33,8 @@ trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'BenchmarkRound$|BenchmarkRoundFused$|BenchmarkRoundBatch$|BenchmarkTableIIDefaults$' \
 	-benchtime "$BENCHTIME" -count "$COUNT" -benchmem . | tee "$RAW"
+go test -run '^$' -bench '^BenchmarkNetSort$' \
+	-benchtime "$BENCHTIME" -count "$COUNT" -benchmem ./internal/sortnet/ | tee -a "$RAW"
 
 # Best (min ns/op) run per benchmark, as JSON objects. allocs/op comes
 # from -benchmem; the hot paths are expected to hold it at zero

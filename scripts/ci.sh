@@ -8,10 +8,17 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# internal/sortnet has an amd64 assembly stage and a portable fallback:
+# cross-vet the fallback (and its kernel caller) so it keeps compiling.
+GOARCH=arm64 go vet ./internal/sortnet/ ./internal/kernels/
 # Same -require coverage guard as verify.sh: the sweep must include the
 # telemetry/wire packages and the //esthera:hotpath-annotated core.
 go run ./cmd/esthera-vet -require esthera/internal/telemetry,esthera/internal/shard,esthera/internal/kernels,esthera/internal/sortnet,esthera/internal/scan,esthera/internal/rng,esthera/internal/model,esthera/internal/model/arm,esthera/internal/serve ./...
 go test ./...
+# The sort network's fuzz target compares the AVX2 and scalar stages and
+# the stable reference permutation: give it a fixed budget beyond its
+# seed corpus.
+go test -run '^$' -fuzz '^FuzzBitonicSort$' -fuzztime 10s ./internal/sortnet/
 # The vectorized lane kernels, the branchless sort/search paths and the
 # block RNG are sensitive to codegen: re-run the numeric core under
 # GOAMD64=v3 (AVX2-era ISA selection), as verify.sh does, so an

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# internal/sortnet has an amd64 assembly stage and a portable fallback:
+# cross-vet the fallback (and its kernel caller) so it keeps compiling.
+GOARCH=arm64 go vet ./internal/sortnet/ ./internal/kernels/
 go run ./cmd/esthera-vet -list
 # -require makes the sweep fail loudly if a module-path change ever
 # silently drops a load-bearing package from ./... coverage: telemetry
